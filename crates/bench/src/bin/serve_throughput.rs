@@ -26,9 +26,7 @@ use deepcam_bench::guard;
 use deepcam_core::{DeepCamEngine, EngineConfig, HashPlan};
 use deepcam_models::scaled::scaled_lenet5;
 use deepcam_serve::protocol::Response;
-use deepcam_serve::{
-    CoreSelect, ModelRegistry, MuxClient, Runtime, Server, ServerConfig, SessionConfig,
-};
+use deepcam_serve::{ModelRegistry, MuxClient, Runtime, Server, ServerConfig, SessionConfig};
 use deepcam_tensor::rng::seeded_rng;
 use deepcam_tensor::{init, Shape};
 
@@ -109,7 +107,6 @@ fn run_config(
 }
 
 struct OpenRow {
-    core: &'static str,
     conns: usize,
     completed: u64,
     errors: u64,
@@ -130,14 +127,13 @@ fn percentile_ms(sorted: &[f64], q: f64) -> f64 {
 
 /// One open-loop run over the wire: `conns` protocol-v2 connections,
 /// each holding `window` pipelined requests in flight against a live
-/// TCP server on the given core — the sweep keeps `conns · window`
+/// TCP server — the sweep keeps `conns · window`
 /// constant, so climbing the connection count measures fan-in
 /// scalability at fixed offered load, not queueing delay. Per-request
 /// latency is measured client-side submit→reply; typed error replies
 /// (overload backpressure) count separately from completions.
 fn run_open_loop(
     engine: &Arc<DeepCamEngine>,
-    core: CoreSelect,
     conns: usize,
     window: usize,
     requests: usize,
@@ -160,13 +156,11 @@ fn run_open_loop(
         "127.0.0.1:0",
         runtime,
         ServerConfig {
-            core,
             max_connections: conns + 8,
             ..ServerConfig::default()
         },
     )
     .expect("bench server binds");
-    let core_name = server.core_name();
     let addr = server.local_addr();
 
     let start = Instant::now();
@@ -218,7 +212,6 @@ fn run_open_loop(
     server.shutdown();
     latencies.sort_by(|a, b| a.total_cmp(b));
     OpenRow {
-        core: core_name,
         conns,
         completed,
         errors,
@@ -307,13 +300,10 @@ fn main() {
     }
 
     // Open-loop many-connection sweep over the wire: pipelined
-    // protocol-v2 requests against a live TCP server, both connection
-    // cores, from a base connection count up to 4× that fan-in at the
-    // SAME total in-flight load (window shrinks as connections grow).
-    // The interesting comparison is epoll at 4× the connections vs
-    // threads at the base count: the readiness core should hold p99 at
-    // equal-or-better while sustaining the fan-in on one thread where
-    // the threads core pays a parked thread per connection.
+    // protocol-v2 requests against a live TCP server, from a base
+    // connection count up to 4x that fan-in at the SAME total in-flight
+    // load (window shrinks as connections grow), so the two rows
+    // compare fan-in scalability, not queueing delay.
     const OPEN_INFLIGHT: usize = 16;
     const OPEN_TOTAL: usize = 256;
     let base_conns = arg("--conns").unwrap_or(4).max(1);
@@ -322,52 +312,25 @@ fn main() {
         "\n== Open-loop wire sweep: {OPEN_INFLIGHT} pipelined v2 requests in flight, split over the connections =="
     );
     let mut open_rows: Vec<OpenRow> = Vec::new();
-    for core in [CoreSelect::Threads, CoreSelect::Epoll] {
-        if matches!(core, CoreSelect::Epoll) && !deepcam_serve::epoll_available() {
-            continue;
-        }
-        for &conns in &conn_sweep {
-            let window = (OPEN_INFLIGHT / conns).max(1);
-            let requests = (OPEN_TOTAL / conns).max(8);
-            let mut best: Option<OpenRow> = None;
-            for _ in 0..repeats {
-                let row = run_open_loop(&engine, core, conns, window, requests, &images);
-                if best
-                    .as_ref()
-                    .is_none_or(|b| row.reqs_per_sec > b.reqs_per_sec)
-                {
-                    best = Some(row);
-                }
+    for &conns in &conn_sweep {
+        let window = (OPEN_INFLIGHT / conns).max(1);
+        let requests = (OPEN_TOTAL / conns).max(8);
+        let mut best: Option<OpenRow> = None;
+        for _ in 0..repeats {
+            let row = run_open_loop(&engine, conns, window, requests, &images);
+            if best
+                .as_ref()
+                .is_none_or(|b| row.reqs_per_sec > b.reqs_per_sec)
+            {
+                best = Some(row);
             }
-            let row = best.expect("at least one repeat");
-            println!(
-                "{:>7} core, {:>4} conns x window {}: {:>8.1} req/s, completed {}, errors {}, p50 {:.2} ms, p99 {:.2} ms",
-                row.core, row.conns, window, row.reqs_per_sec, row.completed, row.errors,
-                row.p50_ms, row.p99_ms
-            );
-            open_rows.push(row);
         }
-    }
-    let threads_base = open_rows
-        .iter()
-        .find(|r| r.core == "threads" && r.conns == base_conns);
-    let epoll_top = open_rows
-        .iter()
-        .find(|r| r.core == "epoll" && r.conns == base_conns * 4);
-    if let (Some(base), Some(top)) = (threads_base, epoll_top) {
+        let row = best.expect("at least one repeat");
         println!(
-            "epoll @ {} conns vs threads @ {} conns: p99 {:.2} ms vs {:.2} ms ({}), {:.2}x connections",
-            top.conns,
-            base.conns,
-            top.p99_ms,
-            base.p99_ms,
-            if top.p99_ms <= base.p99_ms {
-                "equal-or-better"
-            } else {
-                "worse"
-            },
-            top.conns as f64 / base.conns as f64
+            "{:>4} conns x window {}: {:>8.1} req/s, completed {}, errors {}, p50 {:.2} ms, p99 {:.2} ms",
+            row.conns, window, row.reqs_per_sec, row.completed, row.errors, row.p50_ms, row.p99_ms
         );
+        open_rows.push(row);
     }
 
     // Hand-rolled JSON, like the other speedup bins (the vendored serde
@@ -408,33 +371,12 @@ fn main() {
     for (i, row) in open_rows.iter().enumerate() {
         let comma = if i + 1 == open_rows.len() { "" } else { "," };
         json.push_str(&format!(
-            "      {{\"core\": \"{}\", \"conns\": {}, \"completed\": {}, \"errors\": {}, \
+            "      {{\"conns\": {}, \"completed\": {}, \"errors\": {}, \
              \"reqs_per_sec\": {:.2}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}{comma}\n",
-            row.core,
-            row.conns,
-            row.completed,
-            row.errors,
-            row.reqs_per_sec,
-            row.p50_ms,
-            row.p99_ms
+            row.conns, row.completed, row.errors, row.reqs_per_sec, row.p50_ms, row.p99_ms
         ));
     }
-    json.push_str("    ]");
-    if let (Some(base), Some(top)) = (threads_base, epoll_top) {
-        json.push_str(&format!(
-            ",\n    \"headline\": {{\"epoll_conns\": {}, \"threads_conns\": {}, \
-             \"conn_ratio\": {:.1}, \"epoll_p99_ms\": {:.3}, \"threads_p99_ms\": {:.3}, \
-             \"epoll_p99_equal_or_better\": {}}}\n",
-            top.conns,
-            base.conns,
-            top.conns as f64 / base.conns as f64,
-            top.p99_ms,
-            base.p99_ms,
-            top.p99_ms <= base.p99_ms
-        ));
-    } else {
-        json.push('\n');
-    }
+    json.push_str("    ]\n");
     json.push_str("  }\n}\n");
     std::fs::write(&out_path, &json).expect("write BENCH_serve.json");
     println!("wrote {out_path}");

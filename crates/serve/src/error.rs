@@ -31,7 +31,7 @@ pub enum ServeError {
         capacity: usize,
     },
     /// The request itself is malformed (bad shape, empty image, wrong
-    /// element count for the model).
+    /// element count for the model, a NaN or infinite element).
     InvalidRequest(String),
     /// Inference failed inside the engine.
     Engine(CoreError),

@@ -1,4 +1,5 @@
-//! The epoll readiness core: one thread, every connection.
+//! The server's connection core: one epoll readiness loop thread
+//! serving every connection.
 //!
 //! Each connection is a non-blocking read/write state machine over the
 //! [`crate::protocol`] framing. Readiness comes from a level-triggered
@@ -7,11 +8,9 @@
 //! ([`LoopCtl`]), keyed by (connection token, request id) so protocol
 //! v2 clients multiplex many in-flight requests over one socket.
 //!
-//! # Contracts carried over from the threads core
+//! # Lifecycle contracts
 //!
-//! The lifecycle semantics of `crate::server` are ported one-for-one,
-//! re-proven by `tests/server_lifecycle.rs` and `tests/chaos_soak.rs`
-//! running against both cores:
+//! `tests/server_lifecycle.rs` and `tests/chaos_soak.rs` pin these:
 //!
 //! - **Idle vs stalled**: a connection quietly parked at a frame
 //!   boundary lives under `idle_timeout` (quiet close); the moment a
@@ -32,10 +31,9 @@
 //! # Ordering
 //!
 //! v1 frames are served strictly one at a time per connection (parsing
-//! holds while a request is in flight), preserving the threads core's
-//! request→reply ordering. v2 frames all enter the micro-batcher
-//! immediately and replies are written in *completion* order under
-//! their request ids.
+//! holds while a request is in flight), so v1 replies leave in request
+//! order. v2 frames all enter the micro-batcher immediately and replies
+//! are written in *completion* order under their request ids.
 
 #![cfg(target_os = "linux")]
 
@@ -51,10 +49,11 @@ use std::time::{Duration, Instant};
 use crate::error::{Result as ServeResult, ServeError};
 use crate::poll::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::protocol::{
-    check_frame_len, classify, decode_payload, decode_payload_v2, negotiate_version, ErrorKind,
-    Request, Response, CONNECTION_SCOPED_ID, MAX_FRAME_BYTES, PROTOCOL_V1, PROTOCOL_V2,
+    check_frame_len, classify, decode_payload, decode_payload_v2, encode_payload,
+    encode_payload_v2, negotiate_version, ErrorKind, Request, Response, WireModelInfo,
+    WireServerStats, WireStats, CONNECTION_SCOPED_ID, MAX_FRAME_BYTES, PROTOCOL_V1, PROTOCOL_V2,
 };
-use crate::server::{frame_response, handle_request, ServerShared};
+use crate::server::ServerShared;
 
 /// Epoll token of the accept listener.
 const LISTENER_TOKEN: u64 = 0;
@@ -69,8 +68,7 @@ const READ_CHUNK: usize = 16 * 1024;
 /// one firehose connection from starving the rest.
 const READS_PER_WAKE: usize = 8;
 /// How long a connection whose write half is closed may keep
-/// discarding peer bytes before the hard close (mirrors the threads
-/// core's bounded refusal drain).
+/// discarding peer bytes before the hard close.
 const LINGER_TIMEOUT: Duration = Duration::from_millis(250);
 /// Readiness records per `epoll_wait`.
 const MAX_EVENTS: usize = 256;
@@ -413,8 +411,8 @@ fn read_and_serve(
 }
 
 /// Discards peer bytes on a finishing/lingering connection (bounded
-/// per wake), mirroring the threads core's refusal drain. EOF during a
-/// linger means the final frame was deliverable: close.
+/// per wake). EOF during a linger means the final frame was
+/// deliverable: close.
 fn discard_reads(conn: &mut Conn) -> bool {
     let mut scratch = [0u8; 1024];
     for _ in 0..READS_PER_WAKE {
@@ -493,7 +491,7 @@ fn parse_frames(
     conn.rbuf.drain(..pos.min(conn.rbuf.len()));
     if incomplete && conn.peer_eof {
         // Mid-frame EOF: the frame can never complete. Close quietly
-        // (no counters), same as the threads core's `ConnRead::Io`.
+        // (no counters).
         conn.rbuf.clear();
         incomplete = false;
     }
@@ -634,11 +632,11 @@ fn on_frame(
                 }
             }
         }
-        Ok(request) => {
-            conn.version.get_or_insert(PROTOCOL_V1);
-            let resp = handle_request(shared, request);
-            queue_reply(conn, wire_version, req_id, &resp, true, shared)
+        Ok(Request::ListModels) => reply_control(conn, req_id, Control::ListModels, shared),
+        Ok(Request::Stats { model }) => {
+            reply_control(conn, req_id, Control::Stats { model }, shared)
         }
+        Ok(Request::ServerStats) => reply_control(conn, req_id, Control::ServerStats, shared),
         Err(e) => {
             // Frame boundaries are intact, so a garbage payload is
             // answered and the connection keeps serving (and a
@@ -656,6 +654,68 @@ fn on_frame(
             )
         }
     }
+}
+
+/// A request answered inline from server state. `Infer` goes through
+/// the micro-batcher and `Hello` through the handshake in [`on_frame`],
+/// so neither reaches [`handle_control`].
+enum Control {
+    ListModels,
+    Stats { model: String },
+    ServerStats,
+}
+
+/// Answers one control request and queues the reply (a first frame
+/// that is a control request locks the connection to v1).
+fn reply_control(conn: &mut Conn, req_id: u64, request: Control, shared: &ServerShared) -> bool {
+    let version = *conn.version.get_or_insert(PROTOCOL_V1);
+    let resp = handle_control(shared, request);
+    queue_reply(conn, version, req_id, &resp, true, shared)
+}
+
+/// Executes one control request against the runtime and the server
+/// counters; errors become typed error replies.
+fn handle_control(shared: &ServerShared, request: Control) -> Response {
+    let outcome = match request {
+        Control::ListModels => Ok(Response::Models(
+            shared
+                .runtime
+                .list()
+                .into_iter()
+                .map(|m| WireModelInfo {
+                    id: m.id,
+                    loaded: m.loaded,
+                })
+                .collect(),
+        )),
+        Control::Stats { model } => shared.runtime.stats(&model).map(|s| {
+            Response::Stats(WireStats {
+                submitted: s.submitted,
+                completed: s.completed,
+                failed: s.failed,
+                rejected: s.rejected,
+                batches: s.batches,
+                mean_occupancy: s.mean_occupancy,
+                max_occupancy: s.max_occupancy as u64,
+                p50_latency_ms: s.p50_latency_ms,
+                p99_latency_ms: s.p99_latency_ms,
+            })
+        }),
+        Control::ServerStats => {
+            let s = shared.counters.snapshot();
+            Ok(Response::ServerStats(WireServerStats {
+                accepted: s.accepted,
+                refused: s.refused,
+                timed_out: s.timed_out,
+                protocol_errors: s.protocol_errors,
+                drained: s.drained,
+            }))
+        }
+    };
+    outcome.unwrap_or_else(|e| {
+        let (kind, message) = classify(&e);
+        Response::Error { kind, message }
+    })
 }
 
 /// One arrived completion: frame the reply under the connection's
@@ -684,6 +744,17 @@ fn apply_completion(
         return false;
     }
     advance_phase(conn, shared)
+}
+
+/// Frames `resp` for a connection speaking `version`: v2 payloads
+/// carry `req_id` (or [`CONNECTION_SCOPED_ID`] for errors that answer
+/// no particular request), v1 payloads the bare encoding.
+fn frame_response(version: u32, req_id: u64, resp: &Response) -> Vec<u8> {
+    if version >= PROTOCOL_V2 {
+        encode_payload_v2(req_id, resp)
+    } else {
+        encode_payload(resp)
+    }
 }
 
 /// Appends one framed reply to the write buffer with its completion
@@ -740,9 +811,8 @@ fn flush(conn: &mut Conn, shared: &ServerShared) -> bool {
         conn.wstart = 0;
         conn.write_deadline = None;
     } else if progressed || conn.write_deadline.is_none() {
-        // A peer that keeps taking bytes keeps its budget (like the
-        // threads core's per-write timer); one that stops reading is
-        // reaped when the armed deadline lapses.
+        // A peer that keeps taking bytes keeps its budget; one that
+        // stops reading is reaped when the armed deadline lapses.
         conn.write_deadline = shared
             .cfg
             .write_timeout

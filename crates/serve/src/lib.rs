@@ -41,12 +41,13 @@
 //!   drain, and the client retries transport faults, `Overloaded` and
 //!   `Draining` under a seeded deterministic
 //!   [`client::RetryPolicy`] — safe because inference is pure and
-//!   bit-exact. Two interchangeable connection cores sit behind
-//!   [`server::ServerConfig::core`] (see [`core_select`]): the
-//!   portable thread-per-connection core, and on Linux a
+//!   bit-exact. One connection core serves every socket: a
 //!   dependency-free epoll readiness loop ([`poll`] + `event_loop`)
 //!   that multiplexes every connection on one thread and serves
-//!   protocol-v2 clients many requests in flight per socket.
+//!   protocol-v2 clients many requests in flight per socket. TCP
+//!   serving is therefore Linux-only ([`server::Server::bind`] fails
+//!   typed elsewhere); the in-process [`session::Runtime`] API above is
+//!   portable.
 //! * [`client::MuxClient`] — the pipelining counterpart: negotiates
 //!   protocol v2 and keys replies by request id, so callers keep many
 //!   requests outstanding on one connection.
@@ -80,7 +81,6 @@
 pub mod chaos;
 pub mod client;
 pub mod clock;
-pub mod core_select;
 pub mod error;
 mod event_loop;
 pub mod poll;
@@ -93,7 +93,6 @@ pub mod stats;
 pub use chaos::{FaultOp, FaultPlan, FaultStream, SoakConfig, SoakReport};
 pub use client::{Client, ClientConfig, MuxClient, RetryPolicy};
 pub use clock::{Clock, ManualClock, SystemClock, Waker};
-pub use core_select::{epoll_available, CoreSelect, ServerCore, SERVE_CORE_ENV};
 pub use error::{Result, ServeError};
 pub use registry::{ModelInfo, ModelRegistry};
 pub use server::{Server, ServerConfig};

@@ -223,8 +223,8 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidRequest`] for empty/misshapen images,
-    /// [`ServeError::Overloaded`] when the bounded queue is full,
+    /// [`ServeError::InvalidRequest`] for empty/misshapen images or a
+    /// NaN/±Inf element, [`ServeError::Overloaded`] when the bounded queue is full,
     /// [`ServeError::ShuttingDown`] after shutdown began.
     pub fn submit(&self, dims: &[usize], data: &[f32]) -> Result<Pending> {
         let (tx, rx) = std::sync::mpsc::sync_channel(1);
@@ -281,6 +281,13 @@ impl Session {
                     self.engine.model_name()
                 )));
             }
+        }
+        // A NaN or infinite pixel would hash to plausible-looking
+        // logits; refuse it before it reaches the engine.
+        if let Some((i, v)) = data.iter().enumerate().find(|(_, v)| !v.is_finite()) {
+            return Err(ServeError::InvalidRequest(format!(
+                "image element {i} is {v}; pixels must be finite"
+            )));
         }
         {
             let mut st = self.shared.state.lock().expect("session lock");

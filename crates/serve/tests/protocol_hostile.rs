@@ -349,3 +349,70 @@ fn disconnect_between_prefix_and_payload_is_survived() {
     assert_eq!(stats.protocol_errors, 0);
     server.shutdown();
 }
+
+/// A NaN or infinite pixel is refused at submit: the wire answer is a
+/// typed `InvalidRequest` (not laundered logits), the connection keeps
+/// serving, and a finite image still round-trips bit-exact.
+#[test]
+fn non_finite_pixels_get_a_typed_invalid_request_reply() {
+    use deepcam_core::{DeepCamEngine, EngineConfig, HashPlan};
+
+    let mut rng = deepcam_tensor::rng::seeded_rng(5);
+    let model = deepcam_models::scaled::scaled_lenet5(&mut rng, 10);
+    let engine = DeepCamEngine::compile(
+        &model,
+        EngineConfig {
+            plan: HashPlan::Uniform(256),
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
+    let registry = Arc::new(ModelRegistry::new());
+    let engine = registry.register("lenet5", engine);
+    let runtime = Arc::new(Runtime::new(registry, SessionConfig::default()));
+    let mut server = Server::bind("127.0.0.1:0", runtime, ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let Request::Infer { model, dims, data } = sample_infer() else {
+        unreachable!()
+    };
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut poisoned = data.clone();
+        poisoned[100] = bad;
+        let request = Request::Infer {
+            model: model.clone(),
+            dims: dims.clone(),
+            data: poisoned,
+        };
+        write_frame(&mut s, &encode_payload(&request)).unwrap();
+        match read_frame(&mut s).unwrap() {
+            Frame::Payload(p) => match decode_payload::<Response>(&p).unwrap() {
+                Response::Error { kind, .. } => {
+                    assert_eq!(kind, ErrorKind::InvalidRequest, "{bad}")
+                }
+                other => panic!("{bad} pixel: expected InvalidRequest, got {other:?}"),
+            },
+            Frame::Closed => panic!("connection must survive a {bad} pixel"),
+        }
+    }
+
+    // Same connection, finite image: served, bit-exact.
+    write_frame(&mut s, &encode_payload(&sample_infer())).unwrap();
+    let tensor =
+        deepcam_tensor::Tensor::from_vec(data, deepcam_tensor::Shape::new(&[1, 1, 28, 28]))
+            .unwrap();
+    match read_frame(&mut s).unwrap() {
+        Frame::Payload(p) => match decode_payload::<Response>(&p).unwrap() {
+            Response::Logits(logits) => {
+                assert_eq!(logits, engine.infer(&tensor).unwrap().data());
+            }
+            other => panic!("expected logits, got {other:?}"),
+        },
+        Frame::Closed => panic!("connection closed after a finite image"),
+    }
+    // Rejections are request errors, not protocol violations.
+    assert_eq!(server.stats().protocol_errors, 0);
+    server.shutdown();
+}

@@ -291,6 +291,15 @@ fn submit_validates_shape_before_queueing() {
         session.submit(&[], &[]),
         Err(ServeError::InvalidRequest(_))
     ));
+    // A NaN or infinite pixel would hash to plausible logits.
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut img = image(13);
+        img[391] = bad;
+        match session.submit(&[1, 28, 28], &img) {
+            Err(ServeError::InvalidRequest(msg)) => assert!(msg.contains("391"), "{msg}"),
+            other => panic!("{bad} pixel: expected InvalidRequest, got {other:?}"),
+        }
+    }
     // Nothing bad reached the queue.
     assert_eq!(session.stats().submitted, 0);
     assert_eq!(session.queue_len(), 0);
