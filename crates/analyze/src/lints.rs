@@ -66,6 +66,9 @@ impl Config {
                 "crates/core/src/passes/mapping.rs",
                 "crates/hash/src/packed.rs",
                 "crates/hash/src/bitvec.rs",
+                // The paneled projection the SIMD kernels read: its
+                // layout is derived from the seeded matrix alone.
+                "crates/hash/src/projection.rs",
                 // The SIMD kernel files are A5-bound; the dispatch layer
                 // (simd/mod.rs) is deliberately NOT — it is the one
                 // place allowed to read the DEEPCAM_SIMD env override,

@@ -4,8 +4,8 @@
 //! the "before") vs the production fast path (`DeepCamEngine::infer`,
 //! the "after"), single-threaded, and records the result with a
 //! per-dot-layer breakdown plus a per-kernel-variant sweep (every SIMD
-//! Hamming kernel the host detects, each re-gated for bit-identity) in
-//! `BENCH_hotpath.json`.
+//! variant the host detects — each selects both the projection and the
+//! Hamming kernel — re-gated for bit-identity) in `BENCH_hotpath.json`.
 //!
 //! Usage: `cargo run --release -p deepcam-bench --bin hotpath_speedup
 //! [--out PATH] [--images N] [--repeats R] [--force]`
@@ -178,8 +178,9 @@ fn main() {
         before_ms / after_ms
     );
 
-    // Per-kernel-variant sweep: pin each detected Hamming kernel in the
-    // dispatch table and re-time the same fast path. Each variant is
+    // Per-kernel-variant sweep: pin each detected variant (projection
+    // and Hamming kernels) in the dispatch table and re-time the same
+    // fast path. Each variant is
     // re-gated against the reference logits first, so a variant row in
     // the JSON always denotes a bit-identical computation.
     let default_variant = simd::active();

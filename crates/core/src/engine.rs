@@ -29,14 +29,13 @@
 use deepcam_hash::bitvec::pack_signs_into;
 use deepcam_hash::context::{Context, ContextSet};
 use deepcam_hash::geometric::{CosineMode, GeometricDot, NormMode};
-use deepcam_hash::{Minifloat8, ProjectionMatrix};
+use deepcam_hash::{simd, Minifloat8, ProjectionMatrix, ProjectionPanels};
 use deepcam_models::Cnn;
 use deepcam_tensor::ops::conv::{im2col_sharded, Conv2dConfig};
 use deepcam_tensor::ops::norm::BN_EPS;
 use deepcam_tensor::ops::pool::{avg_pool2d, max_pool2d};
 use deepcam_tensor::pool::{split_ranges, Parallelism, ThreadPool};
 use deepcam_tensor::rng::{seeded_rng, standard_normal};
-use deepcam_tensor::tensor::matmul_dense_into;
 use deepcam_tensor::{Shape, Tensor};
 use serde::{Deserialize, Serialize};
 
@@ -110,8 +109,14 @@ impl serde::bin::BinCodec for EngineConfig {
 /// store because it is a deterministic function of what it does store.
 pub(crate) struct RuntimeTile {
     /// Layer projection `[n, k]` (the on-chip crossbar weights),
-    /// regenerated from the tile's seed.
-    pub(crate) proj: Tensor,
+    /// regenerated from the tile's seed and packed once into the
+    /// 32-column panels [`simd::project_into`] reads.
+    pub(crate) proj: ProjectionPanels,
+    /// The same projection row-major — read only by the frozen
+    /// [`reference`](`crate::reference`) datapath, so it is derived
+    /// lazily on first use: serving and evaluation never hold the
+    /// matrix twice.
+    proj_rows: std::sync::OnceLock<Tensor>,
     /// Per-kernel contexts rebuilt from the packed tile + raw norms —
     /// read only by the frozen [`reference`](`crate::reference`)
     /// datapath and tests, so they are derived lazily on first use (the
@@ -139,7 +144,7 @@ impl RuntimeTile {
         cfg: &EngineConfig,
         luts: &mut std::collections::HashMap<usize, std::sync::Arc<Vec<f32>>>,
     ) -> Self {
-        let proj = ProjectionMatrix::generate(tile.n, tile.k, tile.seed).to_tensor();
+        let proj = ProjectionMatrix::generate(tile.n, tile.k, tile.seed).to_panels();
         let w_norms = tile
             .norms
             .iter()
@@ -166,10 +171,19 @@ impl RuntimeTile {
             .clone();
         RuntimeTile {
             proj,
+            proj_rows: std::sync::OnceLock::new(),
             weights: std::sync::OnceLock::new(),
             w_norms,
             cos_lut,
         }
+    }
+
+    /// The layer's row-major projection, regenerated from the tile's seed
+    /// on first request (thread-safe; the reference datapath runs
+    /// sharded).
+    fn proj_rows(&self, tile: &CompiledTile) -> &Tensor {
+        self.proj_rows
+            .get_or_init(|| ProjectionMatrix::generate(tile.n, tile.k, tile.seed).to_tensor())
     }
 
     /// The layer's kernel contexts, rebuilt from the packed tile on
@@ -293,7 +307,8 @@ impl DeepCamEngine {
     ///
     /// # Errors
     ///
-    /// Propagates tensor shape errors (batch/model mismatch).
+    /// Propagates tensor shape errors (batch/model mismatch); returns
+    /// [`CoreError::InvalidInput`] when any input element is NaN or ±∞.
     pub fn infer(&self, batch: &Tensor) -> Result<Tensor> {
         self.infer_at_offset(
             batch,
@@ -332,6 +347,11 @@ impl DeepCamEngine {
     /// where it keeps per-patch noise a function of the *global* image
     /// index so any batching/sharding of a set reproduces the same
     /// disturbances.
+    ///
+    /// This is the one path behind every inference and evaluation entry
+    /// point, so it is where non-finite input is rejected: ReLU and
+    /// max-pool (`f32::max`) would otherwise drop a NaN and return
+    /// plausible logits.
     fn infer_at_offset(
         &self,
         batch: &Tensor,
@@ -339,19 +359,30 @@ impl DeepCamEngine {
         dot_workers: usize,
         path: DotPath,
     ) -> Result<Tensor> {
-        let mut cur = batch.clone();
+        if let Some((at, v)) = batch
+            .data()
+            .iter()
+            .enumerate()
+            .find(|(_, v)| !v.is_finite())
+        {
+            return Err(CoreError::InvalidInput(format!(
+                "input element {at} is {v}; inference needs finite values"
+            )));
+        }
+        // The first step reads `batch` itself; no copy of the input.
+        let mut cur: Option<Tensor> = None;
         for step in &self.compiled.steps {
-            cur = run_step(
+            cur = Some(run_step(
                 step,
-                &cur,
+                cur.as_ref().unwrap_or(batch),
                 &self.compiled.config,
                 &self.tiles,
                 img_offset,
                 dot_workers,
                 path,
-            )?;
+            )?);
         }
-        Ok(cur)
+        Ok(cur.unwrap_or_else(|| batch.clone()))
     }
 
     /// The single batch fan-out/reassembly primitive every batched
@@ -416,7 +447,8 @@ impl DeepCamEngine {
     ///
     /// # Errors
     ///
-    /// Propagates tensor shape errors (batch/model mismatch).
+    /// Propagates tensor shape errors (batch/model mismatch); returns
+    /// [`CoreError::InvalidInput`] when any input element is NaN or ±∞.
     pub fn infer_batch(&self, batch: &Tensor) -> Result<Tensor> {
         self.infer_batch_with(batch, self.compiled.config.parallelism)
     }
@@ -426,7 +458,8 @@ impl DeepCamEngine {
     ///
     /// # Errors
     ///
-    /// Propagates tensor shape errors (batch/model mismatch).
+    /// Propagates tensor shape errors (batch/model mismatch); returns
+    /// [`CoreError::InvalidInput`] when any input element is NaN or ±∞.
     pub fn infer_batch_with(&self, batch: &Tensor, parallelism: Parallelism) -> Result<Tensor> {
         let n = batch.shape().dim(0);
         let workers = parallelism.resolve();
@@ -458,7 +491,8 @@ impl DeepCamEngine {
     ///
     /// # Errors
     ///
-    /// Propagates tensor shape errors (batch/model mismatch).
+    /// Propagates tensor shape errors (batch/model mismatch); returns
+    /// [`CoreError::InvalidInput`] when any input element is NaN or ±∞.
     pub fn infer_each(&self, batch: &Tensor) -> Result<Tensor> {
         self.infer_each_with(batch, self.compiled.config.parallelism)
     }
@@ -584,8 +618,8 @@ impl DeepCamEngine {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidInput`] when the label count differs
-    /// from the image count or `batch_size` is zero; propagates inference
-    /// errors.
+    /// from the image count, `batch_size` is zero, or an image holds a
+    /// NaN or ±∞ element; propagates inference errors.
     pub fn evaluate(&self, images: &Tensor, labels: &[usize], batch_size: usize) -> Result<f32> {
         let n = self.check_eval_inputs(images, labels, batch_size)?;
         self.evaluate_batches_serially(
@@ -1049,7 +1083,7 @@ fn dot_rows(
         DotPath::Reference => crate::reference::dot_rows_range(
             row_data,
             n,
-            &rt.proj,
+            rt.proj_rows(ct),
             rt.weights(ct),
             ct.k,
             ct.layer_idx,
@@ -1085,8 +1119,9 @@ fn dot_rows(
 ///
 /// The loop is allocation-free per patch: the chunk is projected
 /// straight out of `row_data` into one per-worker scratch buffer
-/// (`matmul_into` — same kernel, same per-element accumulation order as
-/// the historical `Tensor::matmul` path), noise is applied in place,
+/// ([`simd::project_into`] over the paneled projection — the same
+/// per-element accumulation order as the historical `Tensor::matmul`
+/// path), noise is applied in place,
 /// signs are packed into a reusable word buffer, and one XOR+popcount
 /// pass over the packed weight tile yields every Hamming distance. The
 /// final `a_norm * w_norm * cos_lut[hd]` is the identical expression
@@ -1126,17 +1161,17 @@ fn dot_rows_range(
         let sub_rows = SUB_ROWS.min(rows_here - sub_start);
         // Batched projection of this sub-block: [sub_rows, n] x [n, k],
         // read directly from the shared patch buffer through the
-        // register-tiled dense kernel (projection matrices are finite by
-        // construction, so it is bit-identical to the zero-skip kernel —
-        // see its docs). Each projected element is a fixed-order dot
-        // over n, so block boundaries never change its value.
+        // dispatched panel kernel. It skips no zero terms; projection
+        // matrices are finite by construction, so the extra `0·b` terms
+        // are ±0.0 and leave every chain bit-identical to the zero-skip
+        // reference. Each projected element is a fixed-order dot over n,
+        // so block boundaries never change its value.
         let abs0 = row_start + sub_start;
-        matmul_dense_into(
+        simd::project_into(
             &row_data[abs0 * n..(abs0 + sub_rows) * n],
             sub_rows,
             n,
-            rt.proj.data(),
-            k,
+            &rt.proj,
             &mut projected[..sub_rows * k],
         );
         for sub_local in 0..sub_rows {
@@ -1556,6 +1591,49 @@ mod tests {
             engine.evaluate_parallel(&x, &[0usize; 3], 2),
             Err(CoreError::InvalidInput(_))
         ));
+    }
+
+    #[test]
+    fn non_finite_input_is_rejected_at_every_entry_point() {
+        let mut rng = seeded_rng(12);
+        let model = scaled_lenet5(&mut rng, 10);
+        for noise in [0.0, 0.05] {
+            let cfg = EngineConfig {
+                plan: HashPlan::Uniform(256),
+                crossbar_noise: noise,
+                parallelism: Parallelism::Fixed(2),
+                ..EngineConfig::default()
+            };
+            let engine = DeepCamEngine::compile(&model, cfg).unwrap();
+            let clean = tiny_batch(3);
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                // One poisoned pixel in the last image only.
+                let mut data = clean.data().to_vec();
+                data[2 * 28 * 28 + 300] = bad;
+                let x = Tensor::from_vec(data, clean.shape().clone()).unwrap();
+                let rejected = |r: Result<Tensor>| matches!(r, Err(CoreError::InvalidInput(_)));
+                assert!(rejected(engine.infer(&x)), "infer accepted {bad}");
+                assert!(rejected(engine.infer_reference(&x)), "reference {bad}");
+                assert!(rejected(engine.infer_batch(&x)), "infer_batch {bad}");
+                assert!(rejected(engine.infer_each(&x)), "infer_each {bad}");
+                assert!(
+                    matches!(
+                        engine.evaluate(&x, &[0; 3], 2),
+                        Err(CoreError::InvalidInput(msg)) if msg.contains("finite")
+                    ),
+                    "evaluate accepted {bad}"
+                );
+                assert!(
+                    matches!(
+                        engine.evaluate_parallel(&x, &[0; 3], 1),
+                        Err(CoreError::InvalidInput(_))
+                    ),
+                    "evaluate_parallel accepted {bad}"
+                );
+            }
+            // The clean batch still runs.
+            assert!(engine.infer_each(&clean).unwrap().all_finite());
+        }
     }
 
     #[test]

@@ -82,9 +82,9 @@ impl HashPlan {
     }
 
     /// Returns `true` when `k` is a CAM-supported hash width — the one
-    /// membership rule shared by [`HashPlan::validate`] and
-    /// [`HashPlan::bind`].
-    fn width_supported(k: usize) -> bool {
+    /// membership rule shared by [`HashPlan::validate`],
+    /// [`HashPlan::bind`] and artifact validation.
+    pub(crate) fn width_supported(k: usize) -> bool {
         SUPPORTED_HASH_LENGTHS.contains(&k)
     }
 

@@ -40,7 +40,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::engine::EngineConfig;
 use crate::error::CoreError;
-use crate::hashplan::PlanBinding;
+use crate::hashplan::{HashPlan, PlanBinding};
 use crate::passes::mapping::ModelMapping;
 use crate::Result;
 
@@ -852,6 +852,14 @@ impl CompiledModel {
                 )));
             }
             let k = self.binding.k_for(pos);
+            // The runtime packs each projection into 32-column panels;
+            // every supported width is a whole number of them.
+            if !HashPlan::width_supported(k) {
+                return Err(CoreError::Artifact(format!(
+                    "tile {pos} ('{}') is bound to unsupported hash width {k}",
+                    tile.name
+                )));
+            }
             if tile.k != k || tile.packed.bits() != k {
                 return Err(CoreError::Artifact(format!(
                     "tile {pos} ('{}') has width {} (packed {}), binding says {k}",
@@ -1407,6 +1415,28 @@ mod tests {
         assert!(matches!(
             CompiledModel::from_bytes(&compiled.to_bytes()),
             Err(CoreError::Artifact(_))
+        ));
+    }
+
+    #[test]
+    fn validate_rejects_unsupported_bound_widths() {
+        let mut rng = seeded_rng(8);
+        let model = scaled_lenet5(&mut rng, 10);
+        let mut compiled = CompiledModel::compile(
+            &model,
+            EngineConfig {
+                plan: HashPlan::Uniform(256),
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        let mut w = Writer::new();
+        vec![100usize; compiled.binding.len()].encode(&mut w);
+        let bytes = w.into_bytes();
+        compiled.binding = PlanBinding::decode(&mut Reader::new(&bytes)).unwrap();
+        assert!(matches!(
+            compiled.validate(),
+            Err(CoreError::Artifact(msg)) if msg.contains("unsupported hash width 100")
         ));
     }
 

@@ -57,7 +57,7 @@ pub use error::HashError;
 pub use geometric::GeometricDot;
 pub use minifloat::Minifloat8;
 pub use packed::PackedHashes;
-pub use projection::ProjectionMatrix;
+pub use projection::{ProjectionMatrix, ProjectionPanels};
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, HashError>;

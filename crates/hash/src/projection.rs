@@ -112,19 +112,30 @@ impl ProjectionMatrix {
         Ok(acc)
     }
 
-    /// Materializes the matrix as an `[n, k]` tensor for batched
-    /// projection via GEMM.
+    /// Materializes the matrix as a row-major `[n, k]` tensor for
+    /// batched projection via GEMM (`patches [P, n] · C [n, k]`), far
+    /// faster than row-by-row [`ProjectionMatrix::project`] calls.
     ///
-    /// The functional engine projects thousands of im2col patches per
-    /// layer; `patches [P, n] · C [n, k]` through
-    /// [`deepcam_tensor::Tensor::matmul`] is far faster than row-by-row
-    /// [`ProjectionMatrix::project`] calls.
+    /// The inference engine's fast path reads [`ProjectionPanels`]
+    /// instead ([`ProjectionMatrix::to_panels`]); this layout serves the
+    /// frozen reference datapath.
     pub fn to_tensor(&self) -> deepcam_tensor::Tensor {
         deepcam_tensor::Tensor::from_vec(
             self.data.clone(),
             deepcam_tensor::Shape::new(&[self.input_dim, self.hash_len]),
         )
         .expect("projection buffer volume matches its shape")
+    }
+
+    /// Repacks the matrix into [`ProjectionPanels`], the layout the
+    /// batched projection kernels ([`crate::simd::project_into`]) read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hash_len` is not a multiple of [`PANEL_COLS`] (every
+    /// length in [`crate::SUPPORTED_HASH_LENGTHS`] is).
+    pub fn to_panels(&self) -> ProjectionPanels {
+        ProjectionPanels::from_row_major(&self.data, self.input_dim, self.hash_len)
     }
 
     /// Hashes `x` to `k` sign bits: `hash(x) = sign(x·C)`.
@@ -152,6 +163,93 @@ impl ProjectionMatrix {
             });
         }
         self.hash(x)?.prefix(k)
+    }
+}
+
+/// Columns per projection panel: one AVX-512 register pair, and a
+/// divisor of every supported hash length.
+pub const PANEL_COLS: usize = 32;
+
+/// A projection matrix `[n, k]` packed once into `k / 32` column panels,
+/// each stored as `[n][32]` floats, panel after panel.
+///
+/// The batched projection walks one panel per output column block; in
+/// this layout the 32 coefficients of one input element are contiguous,
+/// and so is the whole walk over `n`, where the row-major matrix would
+/// be read at a stride of `k` floats. The values are the row-major
+/// matrix's, only reordered, so projecting through either layout gives
+/// the same bits (`tests/simd_differential.rs` pins every kernel
+/// variant against `deepcam_tensor::matmul_dense_into`).
+///
+/// # Example
+///
+/// ```
+/// use deepcam_hash::projection::ProjectionMatrix;
+///
+/// let p = ProjectionMatrix::generate(3, 64, 1);
+/// let panels = p.to_panels();
+/// assert_eq!(panels.panels(), 2);
+/// // Coefficient (i = 2, j = 40) lives in panel 1, column 8.
+/// assert_eq!(panels.panel(1)[2][8], p.row(2)[40]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct ProjectionPanels {
+    input_dim: usize,
+    hash_len: usize,
+    /// `hash_len / PANEL_COLS` panels of `input_dim` rows each.
+    data: Vec<[f32; PANEL_COLS]>,
+}
+
+impl ProjectionPanels {
+    /// Packs a row-major `[n, k]` matrix into panels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is not a multiple of [`PANEL_COLS`] or
+    /// `matrix.len() != n * k`.
+    pub fn from_row_major(matrix: &[f32], n: usize, k: usize) -> Self {
+        assert!(
+            k.is_multiple_of(PANEL_COLS),
+            "hash length {k} is not a multiple of {PANEL_COLS} columns"
+        );
+        assert_eq!(matrix.len(), n * k, "matrix buffer must be n*k");
+        let mut data = Vec::with_capacity(n * k / PANEL_COLS);
+        for col in (0..k).step_by(PANEL_COLS) {
+            for row in matrix.chunks_exact(k) {
+                let (block, _) = row[col..].as_chunks::<PANEL_COLS>();
+                data.push(block[0]);
+            }
+        }
+        ProjectionPanels {
+            input_dim: n,
+            hash_len: k,
+            data,
+        }
+    }
+
+    /// Input dimensionality `n` (rows of the source matrix).
+    pub fn input_dim(&self) -> usize {
+        self.input_dim
+    }
+
+    /// Hash width `k` (columns of the source matrix).
+    pub fn hash_len(&self) -> usize {
+        self.hash_len
+    }
+
+    /// Number of panels, `k / 32`.
+    pub fn panels(&self) -> usize {
+        self.hash_len / PANEL_COLS
+    }
+
+    /// Panel `p`: `n` rows of the 32 coefficients in columns
+    /// `32p..32p + 32`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p >= self.panels()`.
+    pub fn panel(&self, p: usize) -> &[[f32; PANEL_COLS]] {
+        &self.data[p * self.input_dim..(p + 1) * self.input_dim]
     }
 }
 
@@ -224,6 +322,26 @@ mod tests {
         let p = ProjectionMatrix::generate(4, 16, 0);
         assert!(p.project(&[1.0; 3]).is_err());
         assert!(p.hash(&[1.0; 5]).is_err());
+    }
+
+    #[test]
+    fn panels_reorder_the_row_major_matrix() {
+        let p = ProjectionMatrix::generate(5, 96, 4);
+        let panels = p.to_panels();
+        assert_eq!((panels.input_dim(), panels.hash_len()), (5, 96));
+        assert_eq!(panels.panels(), 3);
+        for i in 0..5 {
+            for j in 0..96 {
+                let panel = panels.panel(j / PANEL_COLS);
+                assert_eq!(panel[i][j % PANEL_COLS], p.row(i)[j]);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a multiple")]
+    fn panels_reject_partial_column_blocks() {
+        ProjectionMatrix::generate(2, 48, 0).to_panels();
     }
 
     #[test]

@@ -1,18 +1,28 @@
-//! Runtime-dispatched SIMD microkernels for the XOR+popcount hot path.
+//! Runtime-dispatched SIMD microkernels for the two hot stages of a dot
+//! layer: the projection GEMM and the XOR+popcount Hamming search.
 //!
 //! The packed Hamming kernels ([`PackedHashes::hamming_into`] and
-//! friends) route through this module: a *detection table* is built once
-//! per process (`is_x86_feature_detected!` / NEON, cached in a
-//! [`OnceLock`]) and an *active variant* is selected from it — by
-//! default the most capable detected kernel, overridable with the
-//! `DEEPCAM_SIMD` environment variable (`auto`, `scalar`, `avx2`,
-//! `avx512`, `neon`; read once, outside the A5 kernel files).
+//! friends) and the panel projection ([`project_into`]) route through
+//! this module: a *detection table* is built once per process
+//! (`is_x86_feature_detected!` / NEON, cached in a [`OnceLock`]) and an
+//! *active variant* is selected from it — by default the most capable
+//! detected kernel, overridable with the `DEEPCAM_SIMD` environment
+//! variable (`auto`, `scalar`, `avx2`, `avx512`, `neon`; read once,
+//! outside the A5 kernel files). The variant selects both kernels.
 //!
-//! Every variant is an implementation of the **same exact integer
-//! function** — popcounts have one right answer — so dispatch can never
-//! move an output bit. The scalar kernel ([`scalar`]) is the
-//! always-available fallback *and* the differential oracle: the
-//! per-width scalar-vs-SIMD suite plus `tests/hotpath_reference.rs`
+//! Every variant computes the **same bits**, so dispatch can never move
+//! an output bit:
+//!
+//! - Hamming: popcounts are exact integers with one right answer.
+//! - Projection: each output element is one serial chain, `+0.0` then
+//!   `+= x·b` over ascending n, with the multiply and the add each
+//!   rounded (no FMA contraction). AVX-512 runs an 8-row × 32-column
+//!   zmm tile; every other variant runs the portable 4 × 32 tile, whose
+//!   chain is that of `deepcam_tensor::matmul_dense_into`.
+//!
+//! The portable kernels ([`scalar`]) are the always-available fallback
+//! *and* the differential oracle: the scalar-vs-SIMD suite
+//! (`tests/simd_differential.rs`) plus `tests/hotpath_reference.rs`
 //! assert bitwise equality on every variant the host detects, and the
 //! CI `DEEPCAM_SIMD=scalar` leg keeps the fallback exercised on
 //! SIMD-capable runners.
@@ -27,6 +37,8 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
+use crate::projection::ProjectionPanels;
+
 pub mod scalar;
 
 #[cfg(target_arch = "aarch64")]
@@ -39,22 +51,25 @@ pub mod x86;
 /// once per distinct bad value, mirroring `DEEPCAM_WORKERS`.
 pub const SIMD_ENV: &str = "DEEPCAM_SIMD";
 
-/// One implementation of the XOR+popcount kernels.
+/// One implementation of the projection and XOR+popcount kernels.
 ///
 /// Ordered by capability: later variants are preferred by `auto`
 /// selection when detected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Variant {
-    /// Portable `u64::count_ones` loop — always available; the
-    /// differential oracle every other variant is tested against.
+    /// Portable `u64::count_ones` loop and 4 × 32 panel projection —
+    /// always available; the differential oracle every other variant is
+    /// tested against.
     Scalar,
-    /// AArch64 NEON `vcnt` byte popcount with pairwise widening.
+    /// AArch64 NEON `vcnt` byte popcount with pairwise widening; the
+    /// portable projection.
     Neon,
     /// AVX2 Harley–Seal carry-save popcount over 256-bit lanes
-    /// (nibble-LUT `vpshufb` + `vpsadbw` reduction).
+    /// (nibble-LUT `vpshufb` + `vpsadbw` reduction); the portable
+    /// projection.
     Avx2,
     /// AVX-512 `VPOPCNTDQ`: hardware per-lane popcount over 512-bit
-    /// blocks.
+    /// blocks, and an 8 × 32 zmm register tile for the projection.
     Avx512,
 }
 
@@ -108,6 +123,8 @@ struct Kernels {
     range: fn(slab: &[u64], wpr: usize, query: &[u64], out: &mut [u32]),
     /// Hamming distance between two equal-length word slices.
     pair: fn(a: &[u64], b: &[u64]) -> u32,
+    /// `[m, n]` rows times a paneled `[n, k]` projection, into `[m, k]`.
+    project: fn(rows: &[f32], m: usize, n: usize, panels: &ProjectionPanels, out: &mut [f32]),
 }
 
 /// Kernel table for `variant`. Variants that cannot exist on this
@@ -117,21 +134,25 @@ fn kernels_of(variant: Variant) -> &'static Kernels {
     const SCALAR: Kernels = Kernels {
         range: scalar::hamming_range,
         pair: scalar::hamming_pair,
+        project: scalar::project_panels,
     };
     #[cfg(target_arch = "x86_64")]
     const AVX2: Kernels = Kernels {
         range: x86::hamming_range_avx2,
         pair: x86::hamming_pair_avx2,
+        project: scalar::project_panels,
     };
     #[cfg(target_arch = "x86_64")]
     const AVX512: Kernels = Kernels {
         range: x86::hamming_range_avx512,
         pair: x86::hamming_pair_avx512,
+        project: x86::project_into_avx512,
     };
     #[cfg(target_arch = "aarch64")]
     const NEON: Kernels = Kernels {
         range: neon::hamming_range_neon,
         pair: neon::hamming_pair_neon,
+        project: scalar::project_panels,
     };
     match variant {
         #[cfg(target_arch = "x86_64")]
@@ -350,6 +371,67 @@ pub fn hamming_pair_with(variant: Variant, a: &[u64], b: &[u64]) -> u32 {
     );
     assert_eq!(a.len(), b.len(), "word slices must be equal length");
     (kernels_of(variant).pair)(a, b)
+}
+
+/// Validates the shared rows/panels/out contract of the projection
+/// once, before any kernel runs.
+#[inline]
+fn check_project_contract(
+    rows: &[f32],
+    m: usize,
+    n: usize,
+    panels: &ProjectionPanels,
+    out: &[f32],
+) {
+    assert_eq!(
+        panels.input_dim(),
+        n,
+        "panels must be built for {n}-element rows"
+    );
+    assert_eq!(rows.len(), m * n, "rows buffer must be m*n");
+    assert_eq!(out.len(), m * panels.hash_len(), "out buffer must be m*k");
+}
+
+/// Dispatched projection: `out[m, k] = rows[m, n] · C`, with the `[n, k]`
+/// projection `C` read from its panels, `out` row-major.
+///
+/// Bitwise equal to `deepcam_tensor::matmul_dense_into` over the
+/// row-major `C` on every variant: each element is one serial chain,
+/// `+0.0` then `+= x·b` over ascending n.
+///
+/// # Panics
+///
+/// Panics when `panels` were built for a patch length other than `n`,
+/// `rows` is not `m * n` floats, or `out` is not `m * k` floats.
+#[inline]
+pub fn project_into(rows: &[f32], m: usize, n: usize, panels: &ProjectionPanels, out: &mut [f32]) {
+    check_project_contract(rows, m, n, panels, out);
+    (kernels_of(active()).project)(rows, m, n, panels, out);
+}
+
+/// [`project_into`] pinned to an explicit variant — the differential
+/// suite compares every detected variant against the row-major oracle
+/// through this entry without mutating process-wide dispatch.
+///
+/// # Panics
+///
+/// Panics when `variant` is not detected on this host, or on the same
+/// contract violations as [`project_into`].
+pub fn project_into_with(
+    variant: Variant,
+    rows: &[f32],
+    m: usize,
+    n: usize,
+    panels: &ProjectionPanels,
+    out: &mut [f32],
+) {
+    assert!(
+        is_detected(variant),
+        "variant {} is not supported on this host",
+        variant.name()
+    );
+    check_project_contract(rows, m, n, panels, out);
+    (kernels_of(variant).project)(rows, m, n, panels, out);
 }
 
 #[cfg(test)]

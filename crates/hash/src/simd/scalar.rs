@@ -1,4 +1,4 @@
-//! Scalar XOR+popcount kernels — the always-available fallback and the
+//! Portable kernels — the always-available fallback and the
 //! differential oracle every SIMD variant is tested against.
 //!
 //! `u64::count_ones` compiles to the hardware `popcnt` instruction on
@@ -7,6 +7,12 @@
 //! bit-twiddling loop. The word loop is 4×-unrolled; widths that are a
 //! multiple of 256 bits (the paper's chunk granularity) take only the
 //! unrolled path.
+//!
+//! The panel projection (`project_panels`) is plain Rust written to
+//! auto-vectorize: a 4-row × 32-column accumulator tile per panel, each
+//! lane an independent add chain. Every variant except AVX-512 runs it.
+
+use crate::projection::{ProjectionPanels, PANEL_COLS};
 
 /// Hamming distance of `query` against every `wpr`-word row of `slab`.
 ///
@@ -42,6 +48,70 @@ pub(crate) fn hamming_pair(a: &[u64], b: &[u64]) -> u32 {
         acc += (wa ^ wb).count_ones();
     }
     acc
+}
+
+/// Projects `m` rows of `n` floats through `panels` into `out` (`[m, k]`
+/// row-major). Panels are the outer loop, so one panel stays cache-hot
+/// while every row block passes over it: 4-row tiles, then one narrower
+/// tile over the same panel for the `m % 4` rest.
+///
+/// Each output element is one serial chain, `+0.0` then `+= x·b` over
+/// ascending n — the chain of `deepcam_tensor::matmul_dense_into`, so
+/// the bits agree. The row/panel/out contract is validated once by
+/// [`super::project_into`].
+// analyze: alloc-free
+pub(crate) fn project_panels(
+    rows: &[f32],
+    m: usize,
+    n: usize,
+    panels: &ProjectionPanels,
+    out: &mut [f32],
+) {
+    let k = panels.hash_len();
+    let full = m - m % 4;
+    for p in 0..panels.panels() {
+        let (panel, col) = (panels.panel(p), p * PANEL_COLS);
+        for i in (0..full).step_by(4) {
+            tile::<4>(&rows[i * n..], n, panel, &mut out[i * k..], k, col);
+        }
+        let (rows, out) = (&rows[full * n..], &mut out[full * k..]);
+        match m - full {
+            1 => tile::<1>(rows, n, panel, out, k, col),
+            2 => tile::<2>(rows, n, panel, out, k, col),
+            3 => tile::<3>(rows, n, panel, out, k, col),
+            _ => {}
+        }
+    }
+}
+
+/// `R` rows (`rows` is `[R, n]`) times one panel into columns
+/// `col..col + 32` of `out` (`[R, k]`): an `R × 32` accumulator tile
+/// that lives in registers across the whole n walk, each lane an
+/// independent add chain.
+// analyze: alloc-free
+#[inline(always)]
+fn tile<const R: usize>(
+    rows: &[f32],
+    n: usize,
+    panel: &[[f32; PANEL_COLS]],
+    out: &mut [f32],
+    k: usize,
+    col: usize,
+) {
+    let a: [&[f32]; R] = std::array::from_fn(|r| &rows[r * n..][..panel.len()]);
+    let mut acc = [[0.0f32; PANEL_COLS]; R];
+    for (kk, bv) in panel.iter().enumerate() {
+        let x: [f32; R] = std::array::from_fn(|r| a[r][kk]);
+        for l in 0..PANEL_COLS {
+            for r in 0..R {
+                acc[r][l] += x[r] * bv[l];
+            }
+        }
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        let at = r * k + col;
+        out[at..at + PANEL_COLS].copy_from_slice(acc_r);
+    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! x86-64 Hamming kernels: AVX2 Harley–Seal popcount and AVX-512
-//! `VPOPCNTDQ`.
+//! x86-64 kernels: AVX2 Harley–Seal popcount, AVX-512 `VPOPCNTDQ`,
+//! and the AVX-512 panel projection.
 //!
 //! Selected at runtime by the dispatch table in [`super`]; the plain
 //! wrapper functions at the bottom are the only entries the table
@@ -16,10 +16,18 @@
 //! blocks. Both paths are exact integer popcounts — bit-identical to
 //! the scalar oracle by construction, and pinned against it by the
 //! per-width differential suite.
+//!
+//! The AVX-512 projection keeps an 8-row × 32-column tile of the output
+//! in 16 zmm accumulators for the whole n walk of one panel. Each step
+//! is `_mm512_mul_ps` then `_mm512_add_ps`, never a fused multiply-add,
+//! so every lane is the same rounded chain as the portable kernel and
+//! the bits agree.
 
 #![cfg(target_arch = "x86_64")]
 
 use std::arch::x86_64::*;
+
+use crate::projection::{ProjectionPanels, PANEL_COLS};
 
 // ---------------------------------------------------------------------
 // AVX2: Harley–Seal carry-save popcount over 256-bit lanes.
@@ -167,6 +175,93 @@ fn range_avx512(slab: &[u64], wpr: usize, query: &[u64], out: &mut [u32]) {
 }
 
 // ---------------------------------------------------------------------
+// AVX-512: panel projection, 8 × 32 register tile.
+// ---------------------------------------------------------------------
+
+/// Unaligned 512-bit load of coefficients `16·half..16·half + 16` of one
+/// panel row.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn load_half(row: &[f32; PANEL_COLS], half: usize) -> __m512 {
+    let lanes = &row[half * 16..half * 16 + 16];
+    // SAFETY: `lanes` is a bounds-checked 16-float slice of a live
+    // array, and `_mm512_loadu_ps` has no alignment requirement — this
+    // reads exactly its 64 bytes.
+    unsafe { _mm512_loadu_ps(lanes.as_ptr()) }
+}
+
+/// Unaligned 512-bit store of `v` into `dst[..16]`.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn store16(dst: &mut [f32], v: __m512) {
+    let lanes = &mut dst[..16];
+    // SAFETY: `lanes` is a bounds-checked, exclusively borrowed 16-float
+    // slice, and `_mm512_storeu_ps` has no alignment requirement — this
+    // writes exactly its 64 bytes.
+    unsafe { _mm512_storeu_ps(lanes.as_mut_ptr(), v) }
+}
+
+/// `R` rows (`rows` is `[R, n]`) times one panel into columns
+/// `col..col + 32` of `out` (`[R, k]`): `2R` zmm accumulators (two per
+/// row) live across the whole n walk; each step broadcasts one input
+/// element per row against the panel row's two halves.
+// analyze: alloc-free
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn tile_avx512<const R: usize>(
+    rows: &[f32],
+    n: usize,
+    panel: &[[f32; PANEL_COLS]],
+    out: &mut [f32],
+    k: usize,
+    col: usize,
+) {
+    let a: [&[f32]; R] = std::array::from_fn(|r| &rows[r * n..][..panel.len()]);
+    let mut lo = [_mm512_setzero_ps(); R];
+    let mut hi = [_mm512_setzero_ps(); R];
+    for (kk, bv) in panel.iter().enumerate() {
+        let (b_lo, b_hi) = (load_half(bv, 0), load_half(bv, 1));
+        for r in 0..R {
+            let x = _mm512_set1_ps(a[r][kk]);
+            lo[r] = _mm512_add_ps(lo[r], _mm512_mul_ps(x, b_lo));
+            hi[r] = _mm512_add_ps(hi[r], _mm512_mul_ps(x, b_hi));
+        }
+    }
+    for r in 0..R {
+        let at = r * k + col;
+        store16(&mut out[at..], lo[r]);
+        store16(&mut out[at + 16..], hi[r]);
+    }
+}
+
+/// Panel projection on AVX-512. Panels are the outer loop, so one panel
+/// stays cache-hot while every row block passes over it: 8-row tiles,
+/// then one narrower tile over the same panel for the `m % 8` rest.
+// analyze: alloc-free
+#[target_feature(enable = "avx512f")]
+fn project_avx512(rows: &[f32], m: usize, n: usize, panels: &ProjectionPanels, out: &mut [f32]) {
+    let k = panels.hash_len();
+    let full = m - m % 8;
+    for p in 0..panels.panels() {
+        let (panel, col) = (panels.panel(p), p * PANEL_COLS);
+        for i in (0..full).step_by(8) {
+            tile_avx512::<8>(&rows[i * n..], n, panel, &mut out[i * k..], k, col);
+        }
+        let (rows, out) = (&rows[full * n..], &mut out[full * k..]);
+        match m - full {
+            1 => tile_avx512::<1>(rows, n, panel, out, k, col),
+            2 => tile_avx512::<2>(rows, n, panel, out, k, col),
+            3 => tile_avx512::<3>(rows, n, panel, out, k, col),
+            4 => tile_avx512::<4>(rows, n, panel, out, k, col),
+            5 => tile_avx512::<5>(rows, n, panel, out, k, col),
+            6 => tile_avx512::<6>(rows, n, panel, out, k, col),
+            7 => tile_avx512::<7>(rows, n, panel, out, k, col),
+            _ => {}
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Plain-ABI wrappers — the only symbols the dispatch table installs.
 // ---------------------------------------------------------------------
 
@@ -199,4 +294,18 @@ pub(super) fn hamming_pair_avx512(a: &[u64], b: &[u64]) -> u32 {
     // lists solely after `is_x86_feature_detected!` confirmed both
     // "avx512f" and "avx512vpopcntdq" on this host.
     unsafe { pair_avx512(a, b) }
+}
+
+/// [`super::project_into`] entry for [`super::Variant::Avx512`].
+pub(super) fn project_into_avx512(
+    rows: &[f32],
+    m: usize,
+    n: usize,
+    panels: &ProjectionPanels,
+    out: &mut [f32],
+) {
+    // SAFETY: installed only for `Variant::Avx512`, which `detected()`
+    // lists solely after `is_x86_feature_detected!` confirmed
+    // "avx512f" (and "avx512vpopcntdq") on this host.
+    unsafe { project_avx512(rows, m, n, panels, out) }
 }

@@ -480,10 +480,12 @@ fn axpy_row(out: &mut [f32], a: f32, b_row: &[f32]) {
 /// cancellation rounds to `+0.0`, and `+0.0 + ±0.0 = +0.0`), so adding
 /// them never changes a single bit. With a non-finite `b` element the
 /// skipped `0 · ∞ = NaN` terms would differ — hence the dedicated entry
-/// point instead of replacing [`matmul_into`]. The inference engine
-/// uses this for its projection GEMM (projection matrices are finite by
-/// construction); `tests/hotpath_reference.rs` pins the equivalence
-/// against the historical kernel on real pipelines.
+/// point instead of replacing [`matmul_into`]. This is the row-major
+/// oracle of the inference engine's projection GEMM: the engine runs
+/// the same chains over a paneled matrix (`deepcam_hash::simd::
+/// project_into`, pinned bitwise to this function per SIMD variant),
+/// and `tests/hotpath_reference.rs` pins the engine against the
+/// historical zero-skip kernel on real pipelines.
 ///
 /// # Panics
 ///
